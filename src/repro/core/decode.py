@@ -5,7 +5,8 @@ buffer (frozen universal scale, outliers clamped), the query is quantized
 to INT8, and attention streams over
 
 1. every progressive cache block — decompressed *to INT8* with pure integer
-   arithmetic (``q1 = q2 * s_int + z_int``) — and
+   arithmetic (``q1 = q2 * s_int + z_int``) the first time a step reads
+   it, then reused from the block's memo — and
 2. the current buffer contents, which are already INT8.
 
 All score and output MatMuls are integer GEMMs; exponentiation is SAS.
@@ -31,7 +32,7 @@ import numpy as np
 from repro.attention.split_k import merge_partials
 from repro.core.buffer import DecodeBuffer
 from repro.core.config import TurboConfig
-from repro.core.kvcache import QuantizedKVCache
+from repro.core.kvcache import CacheBlock, QuantizedKVCache
 from repro.guard.escalation import PrecisionEscalator
 from repro.guard.numerics import check_finite_tile, check_scale, guarded_int_matmul
 from repro.guard.report import GuardConfig, GuardReport
@@ -259,11 +260,22 @@ def _attend_spans_batched(
     return out, lse
 
 
+def _block_span(block: CacheBlock) -> Span:
+    """A cache block's INT8 span, decompressed the first time a step
+    attends over the block and memoized on it: blocks are immutable once
+    appended, so their INT8 view never changes."""
+    if block.int8_views is None:
+        k8 = pq_decompress_to_int8(block.k)
+        v8 = pq_decompress_to_int8(block.v)
+        k8.setflags(write=False)
+        v8.setflags(write=False)
+        block.int8_views = (k8, v8)
+    k8, v8 = block.int8_views
+    return k8, v8, block.k.float_scale, block.v.float_scale
+
+
 def _gather_spans(cache: QuantizedKVCache, buffer: DecodeBuffer) -> List[Span]:
-    spans: List[Span] = [
-        (k_codes, v_codes, k_sc, v_sc)
-        for k_codes, v_codes, k_sc, v_sc, _length in cache.iter_decompressed()
-    ]
+    spans = [_block_span(block) for block in cache.blocks]
     buf_k, buf_v = buffer.codes()
     if buf_k.shape[-2] > 0:
         spans.append((buf_k, buf_v, buffer.k_scale, buffer.v_scale))
@@ -443,20 +455,12 @@ def turbo_decode_steps(
     report: Optional[GuardReport] = None,
     escalator: Optional[PrecisionEscalator] = None,
 ) -> np.ndarray:
-    """Decode a run of tokens: bit-exact to calling
-    :func:`turbo_decode_step` once per token, amortizing the per-step
-    fixed costs across the run.
+    """Decode a run of tokens, one :func:`turbo_decode_step` per token.
 
     ``qs``/``ks``/``vs`` have shapes ``(steps, q_heads, head_dim)`` and
-    ``(steps, kv_heads, head_dim)``; the result is ``(steps, q_heads,
-    head_dim)`` with row ``t`` identical to the per-token call (the
-    cache/buffer mutations interleave in the same order).  Two costs
-    collapse: cache blocks are decompressed *once when they first appear*
-    instead of once per step — blocks are immutable after
-    :meth:`~repro.core.kvcache.QuantizedKVCache.append_block`, so the
-    INT8 view never changes — and the SAS callable is resolved once.
-    Guarded runs fall back to the per-token loop: the guard screens every
-    span's scales per step, and that bookkeeping is the semantics.
+    ``(steps, kv_heads, head_dim)``; row ``t`` of the ``(steps, q_heads,
+    head_dim)`` result is step ``t``'s output.  With a guard, one report
+    collects every step's counters.
     """
     qs = np.asarray(qs, dtype=np.float64)
     ks = np.asarray(ks, dtype=np.float64)
@@ -464,53 +468,14 @@ def turbo_decode_steps(
     steps = qs.shape[0]
     if ks.shape[0] != steps or vs.shape[0] != steps:
         raise ValueError("qs/ks/vs must carry the same number of tokens")
-    if steps == 0:
-        return np.zeros(qs.shape, dtype=np.float64)
-    if guard is not None:
-        if report is None:
-            report = GuardReport()
-        return np.stack(
-            [
-                turbo_decode_step(
-                    qs[t], ks[t], vs[t], cache, buffer, config,
-                    scale=scale, guard=guard, report=report,
-                    escalator=escalator,
-                )
-                for t in range(steps)
-            ]
-        )
-    exp = _exp_fn(config)
-    cache_spans: List[Span] = [
-        (kc, vc, ksc, vsc) for kc, vc, ksc, vsc, _len in cache.iter_decompressed()
-    ]
-    out = None
+    if guard is not None and report is None:
+        report = GuardReport()
+    out = np.zeros(qs.shape, dtype=np.float64)
     for t in range(steps):
-        qc, q_scale, scale_t, hq, hkv, g, d, _qf, _fb = _prepare_step(
-            qs[t], ks[t], vs[t], cache, buffer, config, scale,
-            escalator=escalator,
+        out[t] = turbo_decode_step(
+            qs[t], ks[t], vs[t], cache, buffer, config,
+            scale=scale, guard=guard, report=report, escalator=escalator,
         )
-        # A flush inside _prepare_step appended new (immutable) blocks;
-        # decompress only those.
-        while len(cache_spans) < len(cache.blocks):
-            block = cache.blocks[len(cache_spans)]
-            cache_spans.append(
-                (
-                    pq_decompress_to_int8(block.k),
-                    pq_decompress_to_int8(block.v),
-                    block.k.float_scale,
-                    block.v.float_scale,
-                )
-            )
-        spans = list(cache_spans)
-        buf_k, buf_v = buffer.codes()
-        if buf_k.shape[-2] > 0:
-            spans.append((buf_k, buf_v, buffer.k_scale, buffer.v_scale))
-        step_out, _lse = _attend_spans(
-            spans, qc, q_scale, config, exp, scale_t, hkv, g, d
-        )
-        if out is None:
-            out = np.empty((steps, hq, d), dtype=np.float64)
-        out[t] = step_out.reshape(hq, d)
     return out
 
 

@@ -11,6 +11,12 @@ Blocks are immutable once written: decode never recompresses old tokens
 (the enhanced buffer guarantees new tokens arrive already aligned to block
 boundaries).
 
+Because blocks are immutable, the decode kernel decompresses each one to
+INT8 only the first time it attends over it and keeps the result on the
+block (:attr:`CacheBlock.int8_views`).  That memo is host-side emulation
+state, not modelled storage: it is left out of block equality, ``repr``,
+serialization and every storage count.
+
 Because each :class:`ProgressiveBlock` carries its *own* per-head bit
 array, blocks within one cache may legally differ in width: the adaptive
 precision escalator (:mod:`repro.guard.escalation`) retunes
@@ -21,8 +27,8 @@ and serialization both honour per-block widths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from dataclasses import dataclass, field
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +49,11 @@ class CacheBlock:
     k: ProgressiveBlock
     v: ProgressiveBlock
     length: int
+    #: Read-only INT8 ``(k, v)`` codes, filled by the decode kernel the
+    #: first time it attends over this block (see module docstring).
+    int8_views: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def storage_bits(self) -> int:

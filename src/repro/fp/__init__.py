@@ -12,6 +12,7 @@ from repro.fp.formats import (
     BF16,
     FP32,
     quantize_to_format,
+    fp16_operand,
     fp16_matmul,
 )
 from repro.fp.fp8 import FP8_E4M3, FP8_E5M2, quantize_fp8, fp8_matmul
@@ -22,6 +23,7 @@ __all__ = [
     "BF16",
     "FP32",
     "quantize_to_format",
+    "fp16_operand",
     "fp16_matmul",
     "FP8_E4M3",
     "FP8_E5M2",

@@ -8,6 +8,9 @@ round-to-nearest for bfloat16 conversion units.
 
 MatMuls that model tensor-core MMA instructions round *inputs* to the
 storage format but accumulate in float32, which is how A100 HMMA behaves.
+:func:`fp16_operand` is that input rounding on its own: it returns the
+float32 array the MMA multiplies, so an operand that never changes (a
+weight) can be rounded once and reused.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ __all__ = [
     "BF16",
     "FP32",
     "quantize_to_format",
+    "fp16_operand",
     "fp16_matmul",
 ]
 
@@ -96,6 +100,16 @@ def quantize_to_format(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:
     raise ValueError(f"unknown float format: {fmt.name!r}")
 
 
+def fp16_operand(x: np.ndarray) -> np.ndarray:
+    """Store ``x`` as FP16 and load it as the float32 MMA operand.
+
+    Every FP16 value (subnormals and +/-inf included) is exact in float32,
+    so the returned array holds exactly the FP16 bits; values past the
+    FP16 range become +/-inf, as a half-precision store makes them.
+    """
+    return np.asarray(x, dtype=np.float64).astype(np.float16).astype(np.float32)
+
+
 def fp16_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor-core-style half-precision MatMul.
 
@@ -103,6 +117,4 @@ def fp16_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the numeric behaviour of A100/H100 HMMA instructions (and what both
     FlashAttention and our TurboAttention kernels assume).
     """
-    a16 = np.asarray(a, dtype=np.float64).astype(np.float16).astype(np.float32)
-    b16 = np.asarray(b, dtype=np.float64).astype(np.float16).astype(np.float32)
-    return (a16 @ b16).astype(np.float64)
+    return (fp16_operand(a) @ fp16_operand(b)).astype(np.float64)

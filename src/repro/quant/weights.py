@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.fp.formats import fp16_matmul, quantize_to_format, FP16
+from repro.fp.formats import fp16_matmul, fp16_operand, quantize_to_format, FP16
 from repro.quant.integer_gemm import int_matmul
 from repro.quant.progressive import pq_compress, pq_decompress_to_int8
 from repro.quant.schemes import quantize_symmetric, symmetric_scale
@@ -36,15 +36,22 @@ __all__ = ["DenseLinear", "LLMInt8Linear", "QServeW4A8Linear", "make_linear"]
 
 @dataclass
 class DenseLinear:
-    """FP16 dense linear layer ``y = x @ W`` (weights stored FP16)."""
+    """FP16 dense linear layer ``y = x @ W`` (weights stored FP16).
 
-    weight: np.ndarray  # (in_features, out_features)
+    The weight is rounded once, at construction, into the FP16-exact
+    float32 operand the MMA consumes (:func:`fp16_operand`); a call rounds
+    only the activation.  That is bit-identical to
+    ``fp16_matmul(x, W)`` because the stored array already holds exactly
+    the FP16 bits ``fp16_matmul`` would derive from ``W`` on every call.
+    """
+
+    weight: np.ndarray  # (in_features, out_features), float32, FP16-exact
 
     def __post_init__(self) -> None:
-        self.weight = quantize_to_format(self.weight, FP16)
+        self.weight = fp16_operand(self.weight)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return fp16_matmul(x, self.weight)
+        return (fp16_operand(x) @ self.weight).astype(np.float64)
 
     @property
     def storage_bits(self) -> int:
